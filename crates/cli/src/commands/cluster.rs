@@ -577,10 +577,11 @@ mod tests {
         assert_eq!(rows(&net), rows(&local), "net:\n{net}\nlocal:\n{local}");
 
         // `cluster trace` drives the same campaign traced, then merges
-        // the lanes. Event counts can race with other trace-enabled
-        // tests in this process (the rings are global), so assert only
-        // the race-proof shape: the report, the lane table, and the
-        // merged document's lane metadata.
+        // the lanes. The rings are process-global, so hold the lock the
+        // other ring-resetting tests take, and assert only the shape:
+        // the report, the lane table, and the merged document's lane
+        // metadata.
+        let _rings = crate::commands::trace_test_lock();
         let traced = execute(&argv(
             &[
                 &["trace", "--connect", &connect, "--campaign", "traced"],

@@ -16,6 +16,17 @@ pub mod trace;
 
 use crate::CliError;
 
+/// Serialises the tests that reset or toggle the process-global trace
+/// rings (`dptd trace`, `dptd cluster trace`). Run in parallel, one
+/// test's `reset()` or `set_enabled(false)` empties or stops another's
+/// recording mid-run.
+#[cfg(test)]
+pub(crate) fn trace_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Parse a `--key true|false` switch with a default.
 pub(crate) fn bool_flag(
     args: &crate::args::ArgMap,

@@ -185,7 +185,7 @@ COMMANDS:
              --dup        duplicate probability              [0.01]
              --straggler  straggler fraction (late drops)    [0.01]
              --coverage   per-object observation probability [1.0]
-             --queue-capacity per-shard queue depth          [4096]
+             --queue-capacity reports queued per shard       [4096]
              --lambda2 / --epsilon --delta --lambda1, --seed as above
     help     show this message
 ";

@@ -4,9 +4,10 @@
 //! `benchmark_group`, `bench_function`, `bench_with_input`, `BenchmarkId`,
 //! `black_box`, and the `criterion_group!`/`criterion_main!` macros — with
 //! a simple adaptive wall-clock harness: each benchmark is warmed up, then
-//! timed over enough iterations to fill a measurement window, and the
-//! per-iteration mean/min are printed as a table row. No statistics, plots
-//! or comparison against saved baselines.
+//! timed in samples until both the measurement window is full and at
+//! least [`MIN_SAMPLES`] samples exist, and the per-iteration mean,
+//! median and min are printed as a table row. No plots or comparison
+//! against saved baselines.
 
 #![deny(missing_docs)]
 
@@ -19,6 +20,12 @@ pub use std::hint::black_box;
 const MEASUREMENT_WINDOW: Duration = Duration::from_millis(400);
 /// Target wall-clock time for warm-up.
 const WARMUP_WINDOW: Duration = Duration::from_millis(100);
+/// Fewest timed samples behind every reported figure, however slow the
+/// routine: a 300 ms routine gets 5 measured iterations, not 1–2.
+pub const MIN_SAMPLES: usize = 5;
+/// Samples a fast routine's measurement window is split into; each
+/// sample times enough back-to-back iterations to fill its share.
+const TARGET_SAMPLES: u32 = 50;
 
 /// Top-level benchmark driver.
 #[derive(Debug, Default)]
@@ -142,44 +149,42 @@ impl BenchmarkGroup<'_> {
 pub struct Bencher {
     iters_done: u64,
     elapsed: Duration,
-    min_iter: Duration,
+    /// Per-iteration time of each sample (its elapsed time over its
+    /// iteration count).
+    samples: Vec<Duration>,
 }
 
 impl Bencher {
-    /// Measure `routine` repeatedly until the measurement window is full.
+    /// Measure `routine` repeatedly until the measurement window is full
+    /// and at least [`MIN_SAMPLES`] samples are timed.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         // Warm-up: at least one call, until the warm-up window is full.
         let warm_start = Instant::now();
-        let mut warm_iters = 0u64;
-        let mut last = Duration::ZERO;
+        let mut warm_iters = 0u32;
         while warm_iters == 0 || warm_start.elapsed() < WARMUP_WINDOW {
-            let t = Instant::now();
             black_box(routine());
-            last = t.elapsed();
             warm_iters += 1;
-            if last >= MEASUREMENT_WINDOW {
-                break; // very slow routine: one timed call is the sample
-            }
         }
+        let warm_mean = warm_start.elapsed() / warm_iters;
 
-        // Measurement.
+        // Measurement, in samples of `per_sample` back-to-back calls.
+        let per_sample = ((MEASUREMENT_WINDOW / TARGET_SAMPLES).as_nanos()
+            / warm_mean.as_nanos().max(1))
+        .clamp(1, u128::from(u32::MAX)) as u32;
         let mut elapsed = Duration::ZERO;
-        let mut iters = 0u64;
-        let mut min_iter = last.max(Duration::from_nanos(1));
-        while iters == 0 || elapsed < MEASUREMENT_WINDOW {
+        let mut samples = Vec::new();
+        while samples.len() < MIN_SAMPLES || elapsed < MEASUREMENT_WINDOW {
             let t = Instant::now();
-            black_box(routine());
+            for _ in 0..per_sample {
+                black_box(routine());
+            }
             let dt = t.elapsed();
             elapsed += dt;
-            min_iter = min_iter.min(dt.max(Duration::from_nanos(1)));
-            iters += 1;
-            if dt >= MEASUREMENT_WINDOW {
-                break;
-            }
+            samples.push(dt / per_sample);
         }
-        self.iters_done = iters;
+        self.iters_done = samples.len() as u64 * u64::from(per_sample);
         self.elapsed = elapsed;
-        self.min_iter = min_iter;
+        self.samples = samples;
     }
 }
 
@@ -190,13 +195,29 @@ fn run_one<F: FnMut(&mut Bencher)>(id: &str, mut f: F) {
         println!("{id:<48} (no iterations run)");
         return;
     }
-    let mean = b.elapsed / u32::try_from(b.iters_done).unwrap_or(u32::MAX);
-    println!(
-        "{id:<48} mean {:>12} min {:>12} ({} iters)",
-        format_duration(mean),
-        format_duration(b.min_iter),
-        b.iters_done,
+    let mean = Duration::from_nanos(
+        u64::try_from(b.elapsed.as_nanos() / u128::from(b.iters_done)).unwrap_or(u64::MAX),
     );
+    b.samples.sort_unstable();
+    println!(
+        "{id:<48} mean {:>12} median {:>12} min {:>12} ({} iters, {} samples)",
+        format_duration(mean),
+        format_duration(median(&b.samples)),
+        format_duration(b.samples[0]),
+        b.iters_done,
+        b.samples.len(),
+    );
+}
+
+/// The median of ascending, non-empty `sorted` (mean of the middle two
+/// for an even count).
+fn median(sorted: &[Duration]) -> Duration {
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 1 {
+        sorted[mid]
+    } else {
+        (sorted[mid - 1] + sorted[mid]) / 2
+    }
 }
 
 fn format_duration(d: Duration) -> String {
@@ -254,6 +275,40 @@ mod tests {
             b.iter(|| black_box(n * 2))
         });
         group.finish();
+    }
+
+    #[test]
+    fn slow_routines_still_get_the_sample_floor() {
+        // A routine slower than the whole measurement window is still
+        // timed MIN_SAMPLES times (plus one warm-up call).
+        let mut b = Bencher::default();
+        let mut calls = 0usize;
+        b.iter(|| {
+            calls += 1;
+            std::thread::sleep(MEASUREMENT_WINDOW / 3);
+        });
+        assert_eq!(b.samples.len(), MIN_SAMPLES);
+        assert_eq!(b.iters_done, MIN_SAMPLES as u64);
+        assert_eq!(calls, MIN_SAMPLES + 1);
+    }
+
+    #[test]
+    fn fast_routines_are_batched_into_samples() {
+        let mut b = Bencher::default();
+        b.iter(|| black_box(3u64).wrapping_mul(7));
+        assert!(b.samples.len() >= MIN_SAMPLES);
+        assert!(
+            b.iters_done > b.samples.len() as u64,
+            "{} iters",
+            b.iters_done
+        );
+    }
+
+    #[test]
+    fn median_of_odd_and_even_counts() {
+        let ms = Duration::from_millis;
+        assert_eq!(median(&[ms(1), ms(2), ms(9)]), ms(2));
+        assert_eq!(median(&[ms(1), ms(2), ms(4), ms(9)]), ms(3));
     }
 
     #[test]

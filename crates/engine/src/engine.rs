@@ -1,25 +1,31 @@
 //! The sharded streaming aggregation engine.
 //!
 //! ```text
-//!                    ┌────────────┐  bounded   ┌──────────┐ ShardClaims
-//!  StampedReport ───▶│ router     │──queues───▶│ workers  │──────────┐
-//!  stream (caller)   │ user % S   │  (back-    │ dedup,   │          ▼
-//!                    └────────────┘  pressure) │ deadline,│   ┌────────────┐
-//!                                              │ local CRH│   │ merger:    │
-//!                                              └──────────┘   │ canonical  │
-//!                                                             │ StreamingCrh│
-//!                                                             └────────────┘
+//!                   ┌─────────────┐ batches of ≤256 ┌───────────┐ ShardClaims
+//!  StampedReport ──▶│ router      │ reports, one    │ workers   │───────────┐
+//!  stream (caller)  │ user % S →  │ bounded queue ─▶│ own a     │           ▼
+//!                   │ per-shard   │ per worker      │ shard     │   ┌─────────────┐
+//!                   │ buffer      │ (backpressure); │ range:    │   │ merger:     │
+//!                   └─────────────┘ EpochEnd after  │ dedup,    │   │ canonical   │
+//!                                   the flush       │ deadline, │   │ StreamingCrh│
+//!                                                   │ local CRH │   └─────────────┘
+//!                                                   └───────────┘
 //! ```
 //!
-//! One router (the calling thread) hashes each report to a shard queue; a
-//! capped worker pool drains the queues; at each epoch boundary every
-//! shard emits its canonical claims and the merger folds them — users in
-//! ascending id, independent of sharding — into one global
-//! [`StreamingCrh`]. Merged truths are therefore **bit-identical for any
-//! shard count and any worker count**, which
-//! `crates/engine/tests/proptests.rs` asserts for shard counts 1/4/16.
+//! One router (the calling thread) appends each report to its shard's
+//! buffer and hands a full buffer (`min(256, queue_capacity)` reports) to
+//! the worker owning that shard as one message. Each worker of a capped
+//! pool owns a contiguous range of shards and blocks on its own bounded
+//! queue. Before each epoch boundary the router flushes every buffer and
+//! then sends `EpochEnd` down every queue; a worker closes each shard it
+//! owns and hands the shard's canonical claims to the merger, which folds
+//! them — users in ascending id, independent of sharding — into one
+//! global [`StreamingCrh`]. Merged truths are therefore **bit-identical
+//! for any shard count, worker count and queue capacity**, which
+//! `crates/engine/tests/proptests.rs` asserts for shard counts 1/2/4/8/16.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -45,11 +51,14 @@ pub struct EngineConfig {
     pub num_objects: usize,
     /// Number of ingestion shards (`user % num_shards` routing).
     pub num_shards: usize,
-    /// Worker threads draining shard queues; `0` means
-    /// `min(num_shards, available parallelism)`.
+    /// Worker threads, each owning a contiguous range of shards and one
+    /// queue; `0` means `min(num_shards, available parallelism)`.
     pub workers: usize,
-    /// Capacity of each shard's bounded queue; a full queue pushes back on
-    /// the router.
+    /// Reports that may wait per shard between the router and its worker.
+    /// The router hands reports over in batches of `min(256,
+    /// queue_capacity)`, and a worker's queue holds at most
+    /// `queue_capacity` reports per shard it owns; a full queue pushes
+    /// back on the router.
     pub queue_capacity: usize,
     /// Reports whose virtual send time exceeds this are dropped as late.
     pub epoch_deadline_us: u64,
@@ -148,8 +157,18 @@ pub struct EngineReport {
     pub metrics: EngineMetrics,
 }
 
-enum ShardMsg {
-    Report(StampedReport, Instant),
+/// Most reports one router→worker message carries (capped further by
+/// `queue_capacity`, so small queues still bound memory).
+const MAX_BATCH: usize = 256;
+
+enum WorkerMsg {
+    /// A batch of reports for one shard, stamped when handed off.
+    Reports {
+        shard: usize,
+        reports: Vec<StampedReport>,
+        enqueued_at: Instant,
+    },
+    /// Close the epoch on every shard the worker owns.
     EpochEnd(u64),
 }
 
@@ -162,7 +181,7 @@ struct EpochClaims {
 
 enum MergeMsg {
     Epoch(EpochClaims),
-    ShardDone {
+    WorkerDone {
         latency: LatencyHistogram,
         filter_busy: Duration,
     },
@@ -258,31 +277,26 @@ impl Engine {
         let started = Instant::now();
 
         let num_shards = cfg.num_shards;
-        let workers = if cfg.workers == 0 {
-            WorkerPool::default().workers().min(num_shards)
-        } else {
-            cfg.workers.min(num_shards)
+        let workers = match cfg.workers {
+            0 => WorkerPool::default().workers(),
+            n => n,
         };
-        let pool = WorkerPool::new(workers);
-
-        let mut txs: Vec<Sender<ShardMsg>> = Vec::with_capacity(num_shards);
-        // Receivers are parked in mutexed slots so each queue-drain worker
-        // can take exactly its own (run_partitioned hands every shard id
-        // to one worker).
-        let mut rx_slots: Vec<std::sync::Mutex<Option<Receiver<ShardMsg>>>> =
-            Vec::with_capacity(num_shards);
-        for _ in 0..num_shards {
-            let (tx, rx) = bounded::<ShardMsg>(cfg.queue_capacity);
-            txs.push(tx);
-            rx_slots.push(std::sync::Mutex::new(Some(rx)));
+        // Worker `w` owns the contiguous shard range `ranges[w]` and reads
+        // one bounded queue. A message carries at most `batch` reports, so
+        // a depth of `queue_capacity * shards / batch` messages never holds
+        // more than `queue_capacity` reports per shard served.
+        let ranges = WorkerPool::new(workers).partition(num_shards);
+        let batch = cfg.queue_capacity.min(MAX_BATCH);
+        let mut router = Router::new(num_shards, batch);
+        let mut rxs: Vec<Receiver<WorkerMsg>> = Vec::with_capacity(ranges.len());
+        for range in &ranges {
+            router.owner[range.clone()].fill(rxs.len());
+            let (tx, rx) = bounded(cfg.queue_capacity.saturating_mul(range.len()) / batch);
+            router.txs.push(tx);
+            rxs.push(rx);
         }
         let (merge_tx, merge_rx) = unbounded::<MergeMsg>();
-        let worker_merge_tx = merge_tx.clone();
 
-        let mut router_metrics = RouterMetrics::default();
-        let mut router_err: Option<EngineError> = None;
-
-        let rx_slots_ref = &rx_slots;
         let cfg_ref = &cfg;
         // Spans at stage granularity (one per thread per run): a few
         // atomic stores per run, nothing per report, so tracing cannot
@@ -293,7 +307,7 @@ impl Engine {
         // so MERGE/FILTER spans parent under ROUND even though they run
         // on other threads. `None` when tracing is off — zero work.
         let ambient = dptd_obs::trace::current();
-        let merger_out = thread::scope(|scope| {
+        let (routed, merger_out) = thread::scope(|scope| {
             // Merger: folds per-shard epoch claims into the global CRH.
             let merger = scope.spawn(move || {
                 let _ctx = ambient.map(dptd_obs::trace::enter);
@@ -301,108 +315,28 @@ impl Engine {
                 merge_loop(cfg_ref, state, num_shards, merge_rx)
             });
 
-            // Workers: each drains a contiguous set of shard queues.
-            scope.spawn(move || {
-                let worker_merge_tx = worker_merge_tx;
-                pool.run_partitioned(num_shards, |shard_ids| {
+            // Workers: each blocks on its own queue and owns its shards.
+            for (range, rx) in ranges.into_iter().zip(rxs) {
+                let merge_tx = merge_tx.clone();
+                scope.spawn(move || {
                     let _ctx = ambient.map(dptd_obs::trace::enter);
-                    let _span = TraceScope::begin(trace_codes::FILTER, shard_ids.len() as u64);
-                    let my_shards: Vec<(usize, Receiver<ShardMsg>)> = shard_ids
-                        .iter()
-                        .map(|&s| {
-                            let rx = rx_slots_ref[s]
-                                .lock()
-                                .expect("rx slot lock")
-                                .take()
-                                .expect("each shard receiver is taken once");
-                            (s, rx)
-                        })
-                        .collect();
-                    drain_shards(cfg_ref, my_shards, worker_merge_tx.clone());
+                    let _span = TraceScope::begin(trace_codes::FILTER, range.len() as u64);
+                    drain_worker(cfg_ref, range, rx, merge_tx);
                 });
-            });
+            }
+            drop(merge_tx); // merger exits once the last worker's clone drops
 
-            // Router (this thread): hash each report to its shard queue.
+            // Router (this thread): batch each report under its shard.
             let route_span = TraceScope::begin(trace_codes::ROUTE, 0);
-            let mut open_epoch: Option<u64> = None;
-            for stamped in stream {
-                router_metrics.submitted += 1;
-
-                match open_epoch {
-                    None => open_epoch = Some(stamped.epoch),
-                    Some(open) if stamped.epoch > open => {
-                        for tx in &txs {
-                            if tx.send(ShardMsg::EpochEnd(open)).is_err() {
-                                router_err = Some(EngineError::Disconnected);
-                            }
-                        }
-                        open_epoch = Some(stamped.epoch);
-                    }
-                    Some(open) if stamped.epoch < open => {
-                        router_metrics.out_of_order += 1;
-                        continue;
-                    }
-                    Some(_) => {}
-                }
-                if router_err.is_some() {
-                    break;
-                }
-
-                let user = stamped.report.user;
-                if user >= cfg.num_users {
-                    router_err = Some(EngineError::InvalidUser {
-                        user,
-                        num_users: cfg.num_users,
-                    });
-                    break;
-                }
-                let shard = user % num_shards;
-
-                // Sample queue depth cheaply (every 64th report).
-                if router_metrics.submitted & 63 == 0 {
-                    router_metrics.max_queue_depth =
-                        router_metrics.max_queue_depth.max(txs[shard].len());
-                }
-
-                let enqueued = Instant::now();
-                let msg = ShardMsg::Report(stamped, enqueued);
-                match txs[shard].try_send(msg) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(msg)) => {
-                        // Backpressure: block until the drain catches up.
-                        router_metrics.backpressure += 1;
-                        router_metrics.max_queue_depth =
-                            router_metrics.max_queue_depth.max(cfg.queue_capacity);
-                        if txs[shard].send(msg).is_err() {
-                            router_err = Some(EngineError::Disconnected);
-                            break;
-                        }
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        router_err = Some(EngineError::Disconnected);
-                        break;
-                    }
-                }
-                router_metrics.route_busy += enqueued.elapsed();
-            }
-            if let Some(open) = open_epoch {
-                if router_err.is_none() {
-                    for tx in &txs {
-                        let _ = tx.send(ShardMsg::EpochEnd(open));
-                    }
-                }
-            }
+            let routed = router.route(stream, cfg.num_users);
             drop(route_span);
-            drop(txs); // workers drain and exit
-            drop(merge_tx); // merger exits once the last worker clone drops
+            router.txs.clear(); // workers drain and exit
 
-            merger.join().expect("merger thread panicked")
+            (routed, merger.join().expect("merger thread panicked"))
         });
         drop(run_span);
 
-        if let Some(e) = router_err {
-            return Err(e);
-        }
+        routed?;
         let MergeOut {
             outcomes: epochs,
             crh,
@@ -416,6 +350,7 @@ impl Engine {
         }
         let final_weights = crh.weights().to_vec();
 
+        let router_metrics = router.metrics;
         let mut metrics = EngineMetrics {
             reports_submitted: router_metrics.submitted,
             out_of_order_dropped: router_metrics.out_of_order,
@@ -457,15 +392,125 @@ struct RouterMetrics {
     route_busy: Duration,
 }
 
-/// Drain loop for one worker owning `shards` (id, receiver) pairs.
-fn drain_shards(
+/// The calling thread's side of the hand-off: one report buffer per
+/// shard, one queue per worker.
+struct Router {
+    /// Worker queues, indexed by worker.
+    txs: Vec<Sender<WorkerMsg>>,
+    /// The worker owning each shard.
+    owner: Vec<usize>,
+    /// Reports waiting for their shard's next batch.
+    buffers: Vec<Vec<StampedReport>>,
+    /// Reports per batch message.
+    batch: usize,
+    metrics: RouterMetrics,
+}
+
+impl Router {
+    fn new(num_shards: usize, batch: usize) -> Self {
+        Self {
+            txs: Vec::new(),
+            owner: vec![0; num_shards],
+            buffers: (0..num_shards).map(|_| Vec::with_capacity(batch)).collect(),
+            batch,
+            metrics: RouterMetrics::default(),
+        }
+    }
+
+    /// Route the whole stream: buffer each report under `user % shards`,
+    /// hand a buffer over once it holds a batch, and close each epoch
+    /// when the stream moves past it (and the last one at the end).
+    fn route<I>(&mut self, stream: I, num_users: usize) -> Result<(), EngineError>
+    where
+        I: IntoIterator<Item = StampedReport>,
+    {
+        let mut open_epoch: Option<u64> = None;
+        for stamped in stream {
+            self.metrics.submitted += 1;
+            match open_epoch {
+                None => open_epoch = Some(stamped.epoch),
+                Some(open) if stamped.epoch > open => {
+                    self.end_epoch(open)?;
+                    open_epoch = Some(stamped.epoch);
+                }
+                Some(open) if stamped.epoch < open => {
+                    self.metrics.out_of_order += 1;
+                    continue;
+                }
+                Some(_) => {}
+            }
+
+            let user = stamped.report.user;
+            if user >= num_users {
+                return Err(EngineError::InvalidUser { user, num_users });
+            }
+            let shard = user % self.buffers.len();
+            self.buffers[shard].push(stamped);
+            if self.buffers[shard].len() == self.batch {
+                self.flush(shard)?;
+            }
+        }
+        match open_epoch {
+            Some(open) => self.end_epoch(open),
+            None => Ok(()),
+        }
+    }
+
+    /// Flush every buffered report, then tell every worker the epoch is
+    /// over (each queue is FIFO, so the batches land first).
+    fn end_epoch(&mut self, epoch: u64) -> Result<(), EngineError> {
+        for shard in 0..self.buffers.len() {
+            if !self.buffers[shard].is_empty() {
+                self.flush(shard)?;
+            }
+        }
+        for worker in 0..self.txs.len() {
+            self.hand_off(worker, WorkerMsg::EpochEnd(epoch))?;
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self, shard: usize) -> Result<(), EngineError> {
+        let reports = std::mem::replace(&mut self.buffers[shard], Vec::with_capacity(self.batch));
+        let msg = WorkerMsg::Reports {
+            shard,
+            reports,
+            enqueued_at: Instant::now(),
+        };
+        self.hand_off(self.owner[shard], msg)
+    }
+
+    /// Enqueue `msg` on `worker`'s queue, blocking while it is full
+    /// (backpressure); the whole call counts as route busy.
+    fn hand_off(&mut self, worker: usize, msg: WorkerMsg) -> Result<(), EngineError> {
+        let start = Instant::now();
+        let tx = &self.txs[worker];
+        let metrics = &mut self.metrics;
+        match tx.try_send(msg) {
+            Ok(()) => {}
+            Err(TrySendError::Full(msg)) => {
+                metrics.backpressure += 1;
+                tx.send(msg).map_err(|_| EngineError::Disconnected)?;
+            }
+            Err(TrySendError::Disconnected(_)) => return Err(EngineError::Disconnected),
+        }
+        metrics.max_queue_depth = metrics.max_queue_depth.max(tx.len());
+        metrics.route_busy += start.elapsed();
+        Ok(())
+    }
+}
+
+/// Drain loop for one worker: block on its queue, filter each batch into
+/// the shard it names, and close every owned shard on `EpochEnd`.
+fn drain_worker(
     cfg: &EngineConfig,
-    shards: Vec<(usize, Receiver<ShardMsg>)>,
+    shards: Range<usize>,
+    rx: Receiver<WorkerMsg>,
     merge_tx: Sender<MergeMsg>,
 ) {
     let mut states: Vec<ShardState> = shards
-        .iter()
-        .map(|&(id, _)| {
+        .clone()
+        .map(|id| {
             ShardState::new(
                 id,
                 cfg.num_shards,
@@ -478,91 +523,43 @@ fn drain_shards(
         .collect();
     let mut latency = LatencyHistogram::new();
     let mut filter_busy = Duration::ZERO;
-    let mut open: Vec<bool> = vec![true; shards.len()];
 
-    // Fast path: a worker owning exactly one shard can block on recv.
-    if shards.len() == 1 {
-        let (shard_id, rx) = &shards[0];
-        while let Ok(msg) = rx.recv() {
-            handle(
-                msg,
-                &mut states[0],
-                *shard_id,
-                &mut latency,
-                &mut filter_busy,
-                &merge_tx,
-            );
-        }
-    } else {
-        use crossbeam::channel::TryRecvError;
-        while open.iter().any(|&o| o) {
-            let mut progress = false;
-            for (i, (shard_id, rx)) in shards.iter().enumerate() {
-                if !open[i] {
-                    continue;
+    while let Ok(msg) = rx.recv() {
+        let start = Instant::now();
+        match msg {
+            WorkerMsg::Reports {
+                shard,
+                reports,
+                enqueued_at,
+            } => {
+                let n = reports.len() as u64;
+                let state = &mut states[shard - shards.start];
+                for stamped in reports {
+                    state.ingest(stamped);
                 }
-                // Bounded burst per visit keeps shards fair under skew.
-                for _ in 0..256 {
-                    match rx.try_recv() {
-                        Ok(msg) => {
-                            progress = true;
-                            handle(
-                                msg,
-                                &mut states[i],
-                                *shard_id,
-                                &mut latency,
-                                &mut filter_busy,
-                                &merge_tx,
-                            );
-                        }
-                        Err(TryRecvError::Empty) => break,
-                        Err(TryRecvError::Disconnected) => {
-                            open[i] = false;
-                            break;
-                        }
-                    }
-                }
+                let done = Instant::now();
+                filter_busy += done - start;
+                latency.record_n(done - enqueued_at, n);
             }
-            if !progress {
-                thread::sleep(Duration::from_micros(20));
+            WorkerMsg::EpochEnd(epoch) => {
+                for (shard, state) in shards.clone().zip(&mut states) {
+                    let (claims, stats) = state.finish_epoch();
+                    let _ = merge_tx.send(MergeMsg::Epoch(EpochClaims {
+                        shard,
+                        epoch,
+                        claims,
+                        stats,
+                    }));
+                }
+                filter_busy += start.elapsed();
             }
         }
     }
 
-    let _ = merge_tx.send(MergeMsg::ShardDone {
+    let _ = merge_tx.send(MergeMsg::WorkerDone {
         latency,
         filter_busy,
     });
-}
-
-fn handle(
-    msg: ShardMsg,
-    state: &mut ShardState,
-    shard_id: usize,
-    latency: &mut LatencyHistogram,
-    filter_busy: &mut Duration,
-    merge_tx: &Sender<MergeMsg>,
-) {
-    match msg {
-        ShardMsg::Report(stamped, enqueued_at) => {
-            let start = Instant::now();
-            state.ingest(stamped);
-            let done = Instant::now();
-            *filter_busy += done - start;
-            latency.record(done - enqueued_at);
-        }
-        ShardMsg::EpochEnd(epoch) => {
-            let start = Instant::now();
-            let (claims, stats) = state.finish_epoch();
-            *filter_busy += start.elapsed();
-            let _ = merge_tx.send(MergeMsg::Epoch(EpochClaims {
-                shard: shard_id,
-                epoch,
-                claims,
-                stats,
-            }));
-        }
-    }
 }
 
 struct MergeOut {
@@ -595,7 +592,7 @@ fn merge_loop(
 
     while let Ok(msg) = rx.recv() {
         match msg {
-            MergeMsg::ShardDone {
+            MergeMsg::WorkerDone {
                 latency: l,
                 filter_busy: f,
             } => {

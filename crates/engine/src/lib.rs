@@ -9,8 +9,8 @@
 //! parallel, and folded **incrementally** into a
 //! [`dptd_truth::streaming::StreamingCrh`] — per epoch, not per rerun.
 //!
-//! * [`engine`] — the [`Engine`]: bounded per-shard queues with
-//!   backpressure, a capped worker pool
+//! * [`engine`] — the [`Engine`]: batched hand-off onto one bounded
+//!   queue per worker with backpressure, a capped worker pool
 //!   ([`dptd_protocol::pool::WorkerPool`]), and a deterministic
 //!   cross-shard merge whose truths are bit-identical for any shard or
 //!   worker count.

@@ -21,15 +21,17 @@ pub use dptd_obs::Histogram as LatencyHistogram;
 /// Busy wall-clock time per pipeline stage, summed over the threads
 /// running that stage. `route` can exceed the others on a backpressured
 /// run (it includes the time the router spent blocked on full queues);
-/// `filter` sums across all shard workers, so it can exceed `elapsed` on
-/// a multi-worker run.
+/// `filter` sums across all workers, so it can exceed `elapsed` on a
+/// multi-worker run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
-    /// Router: hashing reports to shards and enqueueing them, including
-    /// any time blocked on a full queue (backpressure).
+    /// Router: handing report batches and epoch ends to the worker
+    /// queues, including any time blocked on a full queue
+    /// (backpressure). Appending a report to its shard's buffer is not
+    /// timed.
     pub route: Duration,
-    /// Shard workers: per-report dedup/deadline filtering plus epoch
-    /// close (claim extraction and the local CRH update).
+    /// Workers: dedup/deadline filtering of each batch plus epoch close
+    /// (claim extraction and the local CRH update), timed per message.
     pub filter: Duration,
     /// Merger: the canonical cross-shard reduction into the global CRH.
     pub merge: Duration,
@@ -58,14 +60,18 @@ pub struct EngineMetrics {
     pub late_dropped: u64,
     /// Reports dropped because they arrived for an already-closed epoch.
     pub out_of_order_dropped: u64,
-    /// Producer-side stalls: a shard queue was full and the submit had to
-    /// block (backpressure engaged).
+    /// Producer-side stalls: a worker queue was full and the hand-off had
+    /// to block (backpressure engaged).
     pub backpressure_stalls: u64,
     /// Epochs that completed a cross-shard merge.
     pub epochs_merged: u64,
-    /// Highest queue depth sampled across all shard queues.
+    /// Highest number of messages (report batches and epoch ends) seen
+    /// waiting in one worker queue, sampled after each hand-off.
     pub max_queue_depth: usize,
-    /// Queue-wait + processing latency per accepted-or-rejected report.
+    /// Latency per routed report, from the hand-off of its batch to the
+    /// end of that batch's filtering (queue wait + processing). Every
+    /// report in a batch records the batch's value; reports dropped as
+    /// out of order never reach a worker and record nothing.
     pub ingest_latency: LatencyHistogram,
     /// Busy time per pipeline stage (route / filter / merge).
     pub stage: StageTimings,

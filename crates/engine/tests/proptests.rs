@@ -3,13 +3,17 @@
 //! 1. `StreamingCrh` fed a single batch reproduces batch CRH (one
 //!    refinement pass) **bit-for-bit** — the streaming estimator is not a
 //!    different algorithm, just an incremental evaluation order.
-//! 2. Engine output is **identical across shard counts** (1/4/16) and
-//!    worker counts under a fixed seed, and matches the single-shard
-//!    `StreamingCrh` reference fed the canonical epoch batches.
+//! 2. Engine output is **identical across shard counts** (1/2/4/8/16),
+//!    worker counts (including an uneven 8-over-3 split) and queue
+//!    capacities under a fixed seed, matches the single-shard
+//!    `StreamingCrh` reference fed the canonical epoch batches, and its
+//!    weights digest equals the in-process `SimBackend` campaign's.
 
 use proptest::prelude::*;
 
 use dptd_engine::{Engine, EngineConfig, LoadGen, LoadGenConfig};
+use dptd_protocol::campaign::{RoundBackend, RoundInput, SimBackend};
+use dptd_stats::digest::fnv1a_f64s;
 use dptd_truth::crh::Crh;
 use dptd_truth::streaming::StreamingCrh;
 use dptd_truth::{Convergence, Loss, ObservationMatrix, TruthDiscoverer};
@@ -80,20 +84,43 @@ proptest! {
             ref_truths.push(reference.ingest(&load.epoch_matrix(e).unwrap()).unwrap());
         }
 
+        // The in-process campaign reference, round by round.
+        let mut sim = SimBackend::new(users, Loss::Squared).unwrap();
+        let mut sim_weights = Vec::new();
+        for e in 0..epochs {
+            sim_weights = sim.run_round(RoundInput {
+                epoch: e,
+                num_objects: objects,
+                deadline_us: load.config().epoch_len_us,
+                reports: load.epoch_reports(e),
+            }).unwrap().weights;
+        }
+        let sim_digest = fnv1a_f64s(&sim_weights);
+
+        // (shards, workers, queue_capacity): 8 shards over 3 workers
+        // splits unevenly (3/3/2); a capacity of 32 or 3 is below the
+        // router's batch length, so batches are cut at the capacity (3
+        // also fills batches mid-epoch and stalls the router on full
+        // worker queues).
+        let layouts = [(1usize, 1usize, 64usize), (4, 2, 64), (16, 0, 64), (8, 3, 64), (2, 1, 32), (4, 2, 3)];
         let mut outputs = Vec::new();
-        for (shards, workers) in [(1usize, 1usize), (4, 2), (16, 0)] {
+        for (shards, workers, queue_capacity) in layouts {
             let engine = Engine::new(EngineConfig {
                 num_users: users,
                 num_objects: objects,
                 num_shards: shards,
                 workers,
-                queue_capacity: 64,
+                queue_capacity,
                 epoch_deadline_us: load.config().epoch_len_us,
                 loss: Loss::Squared,
                 merge_workers: 0,
             }).unwrap();
             let report = engine.run(load.stream()).unwrap();
             prop_assert_eq!(report.epochs.len() as u64, epochs);
+            prop_assert_eq!(fnv1a_f64s(&report.final_weights), sim_digest,
+                "{}x{} (capacity {}) digest diverged from SimBackend", shards, workers, queue_capacity);
+            prop_assert_eq!(report.metrics.ingest_latency.count(), report.metrics.reports_submitted,
+                "{}x{} (capacity {}) lost ingest-latency samples", shards, workers, queue_capacity);
             outputs.push(report);
         }
 
@@ -105,7 +132,7 @@ proptest! {
             prop_assert_eq!(report.final_weights.as_slice(), reference.weights(),
                 "final weights diverged from reference");
         }
-        // And bit-identical across the three sharding layouts (the
+        // And bit-identical across the sharding layouts (the
         // shard-drift observable legitimately depends on the layout — a
         // single shard has zero drift by definition — so it is excluded).
         for w in outputs.windows(2) {

@@ -72,15 +72,26 @@ impl Histogram {
 
     /// Record one latency observation.
     pub fn record(&mut self, latency: Duration) {
-        self.record_ns(u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX));
+        self.record_n(latency, 1);
+    }
+
+    /// Record `n` observations of the same latency — the members of a
+    /// batch that share one measurement. Identical to `n` calls of
+    /// [`Histogram::record`].
+    pub fn record_n(&mut self, latency: Duration, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let ns = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
+        self.buckets[bucket_index(ns)] += n;
+        self.count += n;
+        self.max_ns = self.max_ns.max(ns);
+        self.total_ns += ns as u128 * n as u128;
     }
 
     /// Record one observation given directly in nanoseconds.
     pub fn record_ns(&mut self, ns: u64) {
-        self.buckets[bucket_index(ns)] += 1;
-        self.count += 1;
-        self.max_ns = self.max_ns.max(ns);
-        self.total_ns += ns as u128;
+        self.record_n(Duration::from_nanos(ns), 1);
     }
 
     /// Fold another histogram into this one.
@@ -347,6 +358,18 @@ mod tests {
                 assert!(bucket_floor(idx + 1) > v);
             }
         }
+    }
+
+    #[test]
+    fn record_n_equals_repeated_record() {
+        let (mut batched, mut single) = (Histogram::new(), Histogram::new());
+        for (us, n) in [(3u64, 256u64), (70, 1), (1_000, 17), (5, 0)] {
+            batched.record_n(Duration::from_micros(us), n);
+            for _ in 0..n {
+                single.record(Duration::from_micros(us));
+            }
+        }
+        assert_eq!(batched, single);
     }
 
     #[test]

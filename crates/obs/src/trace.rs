@@ -34,9 +34,10 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 pub mod codes {
     /// A whole engine run for one epoch batch (span).
     pub const ROUND: u32 = 1;
-    /// Router: hashing reports to shard queues (span, per run).
+    /// Router: batching reports by shard onto worker queues (span, per
+    /// run).
     pub const ROUTE: u32 = 2;
-    /// Shard workers: dedup/deadline filtering (span, per run).
+    /// Workers: dedup/deadline filtering (span, per worker per run).
     pub const FILTER: u32 = 3;
     /// The canonical cross-shard merge (span, per epoch).
     pub const MERGE: u32 = 4;

@@ -187,7 +187,7 @@ pub struct RoundInput {
     pub deadline_us: u64,
     /// The round's report stream. Backends process it in order: the
     /// first on-time report per user wins, exactly as the streaming
-    /// engine's shard queues would see it.
+    /// engine's shards would see it.
     pub reports: Vec<StampedReport>,
 }
 

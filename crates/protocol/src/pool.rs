@@ -11,6 +11,7 @@
 //! references to stack data of the caller.
 
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::thread;
 
 /// A fixed-size worker pool. Cheap to copy; threads are spawned per call
@@ -55,72 +56,43 @@ impl WorkerPool {
     where
         F: Fn(usize) + Sync,
     {
-        if items == 0 {
-            return;
-        }
+        let f = &f;
+        thread::scope(|scope| {
+            for range in self.partition(items) {
+                scope.spawn(move || range.for_each(f));
+            }
+        });
+    }
+
+    /// Split `0..items` into `min(self.workers(), items)` contiguous
+    /// ranges whose sizes differ by at most one — the static assignment
+    /// [`WorkerPool::for_each_index`] runs on, for callers that spawn
+    /// their own long-running workers (the engine gives each worker one
+    /// queue and the range of shards behind it). Ceil-based chunking
+    /// would leave trailing workers with nothing whenever `items` is
+    /// slightly above a multiple of the worker count (e.g. 6 items over
+    /// 4 workers as 2/2/2/0); this split gives 2/2/1/1.
+    pub fn partition(&self, items: usize) -> Vec<Range<usize>> {
         let threads = self.workers.min(items);
-        let f = &f;
-        thread::scope(|scope| {
-            for (lo, hi) in balanced_ranges(items, threads) {
-                scope.spawn(move || {
-                    for i in lo..hi {
-                        f(i);
-                    }
-                });
-            }
-        });
-    }
-
-    /// Spawn `min(self.workers(), partitions)` long-running workers, each
-    /// handed its contiguous slice of partition ids, and block until all
-    /// return. Unlike [`WorkerPool::for_each_index`], each worker sees its
-    /// whole assignment at once — the shape a queue-drain loop needs (one
-    /// worker interleaving several shard queues).
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from any worker after all workers have been
-    /// joined.
-    pub fn run_partitioned<F>(&self, partitions: usize, f: F)
-    where
-        F: Fn(&[usize]) + Sync,
-    {
-        if partitions == 0 {
-            return;
+        if threads == 0 {
+            return Vec::new();
         }
-        let threads = self.workers.min(partitions);
-        let f = &f;
-        thread::scope(|scope| {
-            for (lo, hi) in balanced_ranges(partitions, threads) {
-                let ids: Vec<usize> = (lo..hi).collect();
-                scope.spawn(move || f(&ids));
-            }
-        });
+        let (base, extra) = (items / threads, items % threads);
+        let mut lo = 0;
+        (0..threads)
+            .map(|w| {
+                let len = base + usize::from(w < extra);
+                lo += len;
+                lo - len..lo
+            })
+            .collect()
     }
-}
-
-/// Split `0..items` into exactly `threads` contiguous ranges whose sizes
-/// differ by at most one — ceil-based chunking would leave trailing
-/// workers with nothing whenever `items` is slightly above a multiple of
-/// `threads` (e.g. 6 items over 4 workers as 2/2/2/0).
-fn balanced_ranges(items: usize, threads: usize) -> impl Iterator<Item = (usize, usize)> {
-    debug_assert!(threads >= 1 && threads <= items);
-    let base = items / threads;
-    let extra = items % threads;
-    let mut lo = 0;
-    (0..threads).map(move |w| {
-        let len = base + usize::from(w < extra);
-        let range = (lo, lo + len);
-        lo += len;
-        range
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
 
     #[test]
     fn zero_workers_clamps_to_one() {
@@ -164,17 +136,13 @@ mod tests {
     #[test]
     fn empty_work_is_a_noop() {
         WorkerPool::new(4).for_each_index(0, |_| panic!("must not run"));
-        WorkerPool::new(4).run_partitioned(0, |_| panic!("must not run"));
+        assert!(WorkerPool::new(4).partition(0).is_empty());
     }
 
     #[test]
     fn partitions_are_disjoint_and_complete() {
-        let seen = Mutex::new(Vec::new());
-        WorkerPool::new(3).run_partitioned(10, |ids| {
-            seen.lock().unwrap().extend_from_slice(ids);
-        });
-        let mut all = seen.into_inner().unwrap();
-        all.sort_unstable();
+        let ranges = WorkerPool::new(3).partition(10);
+        let all: Vec<usize> = ranges.into_iter().flatten().collect();
         assert_eq!(all, (0..10).collect::<Vec<_>>());
     }
 
@@ -182,11 +150,11 @@ mod tests {
     fn every_worker_gets_a_nonempty_balanced_slice() {
         // 6 partitions over 4 workers must be 2/2/1/1, never 2/2/2/0.
         for (workers, partitions) in [(4usize, 6usize), (3, 10), (8, 9), (5, 5)] {
-            let sizes = Mutex::new(Vec::new());
-            WorkerPool::new(workers).run_partitioned(partitions, |ids| {
-                sizes.lock().unwrap().push(ids.len());
-            });
-            let sizes = sizes.into_inner().unwrap();
+            let sizes: Vec<usize> = WorkerPool::new(workers)
+                .partition(partitions)
+                .iter()
+                .map(|r| r.len())
+                .collect();
             assert_eq!(sizes.len(), workers.min(partitions));
             assert!(
                 sizes.iter().all(|&s| s > 0),

@@ -229,11 +229,11 @@ pub struct MetricsReport {
     pub late_dropped: u64,
     /// Reports dropped as out-of-order.
     pub out_of_order_dropped: u64,
-    /// Times a producer stalled on a full shard queue.
+    /// Times a producer stalled on a full engine worker queue.
     pub backpressure_stalls: u64,
     /// Epochs merged into the estimator.
     pub epochs_merged: u64,
-    /// High-water mark of the engine's shard queues.
+    /// High-water mark of the engine's worker queues, in messages.
     pub max_queue_depth: u64,
     /// Reports currently buffered for the next close (pending plus the
     /// one-round lookahead).
@@ -269,7 +269,7 @@ pub struct CampaignSpec {
     pub num_shards: u64,
     /// Engine drain workers (0 = auto).
     pub workers: u64,
-    /// Engine per-shard queue depth.
+    /// Engine queue capacity, in reports per shard.
     pub engine_queue: u64,
     /// Per-round submission deadline (virtual µs).
     pub deadline_us: u64,
